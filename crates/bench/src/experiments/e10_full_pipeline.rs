@@ -7,10 +7,13 @@
 //! pre-aggregation — executed for real (identical results) and replayed in
 //! the flow simulator for completion time.
 
-use df_core::scheduler::flow_pipeline;
+use df_core::optimizer::Profiles;
+use df_core::physical::PhysicalPlan;
+use df_core::pipeline::{PipelineGraph, DEFAULT_QUEUE_CAPACITY};
 use df_core::session::Session;
-use df_fabric::flow::FlowSim;
+use df_fabric::flow::{FlowSim, PipelineSpec};
 use df_fabric::topology::{DisaggregatedConfig, Topology};
+use df_fabric::DeviceId;
 
 use crate::report::{fmt_util, ExpReport};
 use crate::workload;
@@ -67,7 +70,7 @@ pub fn run(scale: Scale) -> ExpReport {
         };
         assert!(identical, "variant {} changed the answer", v.plan.variant);
 
-        let spec = flow_pipeline(&v.plan, &profiles, cpu, "q").expect("verified graph");
+        let spec = root_spine(&v.plan, &profiles, cpu, "q");
         let mut sim = FlowSim::new(Topology::disaggregated(&DisaggregatedConfig::default()));
         sim.add_pipeline(spec);
         let sim_time = sim.run().pipelines[0].duration();
@@ -139,12 +142,19 @@ pub fn trace_flow(scale: Scale) -> std::sync::Arc<df_sim::Tracer> {
     let mut sim = FlowSim::new(Topology::disaggregated(&DisaggregatedConfig::default()));
     sim.set_tracer(tracer.clone());
     for v in &variants {
-        sim.add_pipeline(
-            flow_pipeline(&v.plan, &profiles, cpu, v.plan.variant.clone()).expect("verified graph"),
-        );
+        sim.add_pipeline(root_spine(&v.plan, &profiles, cpu, &v.plan.variant));
     }
     sim.run();
     tracer
+}
+
+/// The flow-simulator spec of a plan's output spine (E10's plans are
+/// linear, so it is the only one).
+fn root_spine(plan: &PhysicalPlan, profiles: &Profiles, cpu: DeviceId, name: &str) -> PipelineSpec {
+    PipelineGraph::compile(plan, Some(profiles), None, DEFAULT_QUEUE_CAPACITY)
+        .to_flow_specs(cpu, name)
+        .expect("verified graph")
+        .swap_remove(0)
 }
 
 #[cfg(test)]

@@ -41,8 +41,11 @@
 //! Every lint consults an allowlist file under `crates/check/allowlists/`
 //! (one entry per line: `path-suffix` to allow a whole file, or
 //! `path-suffix :: substring` to allow only lines containing the
-//! substring). `crates/check` itself is excluded from the scan: lint
-//! pattern strings necessarily appear in its own source.
+//! substring). An entry that suppresses no finding is itself reported,
+//! as a `stale-allowlist-entry` finding at its line in the allowlist
+//! file, so deleting code also deletes its suppressions. `crates/check`
+//! itself is excluded from the scan: lint pattern strings necessarily
+//! appear in its own source.
 
 use std::fs;
 use std::io;
@@ -154,6 +157,10 @@ const LINTS: &[Lint] = &[
 /// The unsafe lint is structural (needs the raw comment text), so it is
 /// not in the [`LINTS`] table.
 const UNSAFE_LINT: &str = "unsafe-safety-comment";
+
+/// Reported for an allowlist entry that suppressed no finding. It has no
+/// allowlist of its own, so it is not in [`lint_names`].
+pub const STALE_LINT: &str = "stale-allowlist-entry";
 
 /// How many lines above an `unsafe` a `// SAFETY:` comment may sit.
 const SAFETY_WINDOW: usize = 3;
@@ -375,27 +382,34 @@ fn test_block_lines(code: &[String]) -> Vec<bool> {
 struct AllowEntry {
     path_suffix: String,
     substring: Option<String>,
+    /// 1-indexed line in the allowlist file.
+    line: usize,
+    /// The entry as written, trimmed.
+    text: String,
+    /// Whether the entry matched at least one finding in this run.
+    used: bool,
 }
 
 /// Allowlist for one lint, loaded from
 /// `crates/check/allowlists/<lint>.txt`.
+#[derive(Default)]
 pub struct Allowlist {
+    /// The allowlist file, relative to the workspace root.
+    file: String,
     entries: Vec<AllowEntry>,
 }
 
 impl Allowlist {
     /// Load the allowlist for `lint` under `root` (missing file = empty).
     pub fn load(root: &Path, lint: &str) -> io::Result<Allowlist> {
-        let path = root
-            .join("crates/check/allowlists")
-            .join(format!("{lint}.txt"));
-        let text = match fs::read_to_string(&path) {
+        let file = format!("crates/check/allowlists/{lint}.txt");
+        let text = match fs::read_to_string(root.join(&file)) {
             Ok(t) => t,
             Err(e) if e.kind() == io::ErrorKind::NotFound => String::new(),
             Err(e) => return Err(e),
         };
         let mut entries = Vec::new();
-        for line in text.lines() {
+        for (ln, line) in text.lines().enumerate() {
             let line = line.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
@@ -407,18 +421,38 @@ impl Allowlist {
             entries.push(AllowEntry {
                 path_suffix,
                 substring,
+                line: ln + 1,
+                text: line.to_string(),
+                used: false,
             });
         }
-        Ok(Allowlist { entries })
+        Ok(Allowlist { file, entries })
     }
 
-    /// Whether a finding at `file`/`line_text` is allowed.
-    fn allows(&self, file: &str, line_text: &str) -> bool {
-        self.entries.iter().any(|e| {
-            file.ends_with(&e.path_suffix)
+    /// Whether a finding at `file`/`line_text` is allowed. Every matching
+    /// entry is marked used.
+    fn allows(&mut self, file: &str, line_text: &str) -> bool {
+        let mut allowed = false;
+        for e in &mut self.entries {
+            if file.ends_with(&e.path_suffix)
                 && e.substring
                     .as_ref()
                     .is_none_or(|s| line_text.contains(s.as_str()))
+            {
+                e.used = true;
+                allowed = true;
+            }
+        }
+        allowed
+    }
+
+    /// A [`STALE_LINT`] finding for every entry that matched nothing.
+    fn stale(&self) -> impl Iterator<Item = Finding> + '_ {
+        self.entries.iter().filter(|e| !e.used).map(|e| Finding {
+            lint: STALE_LINT,
+            file: self.file.clone(),
+            line: e.line,
+            snippet: e.text.clone(),
         })
     }
 }
@@ -468,7 +502,8 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 // ---------------------------------------------------------------- runner
 
 /// Run every lint over the workspace at `root`, returning unsuppressed
-/// findings (sorted by file/line). Allowlists are loaded from
+/// findings plus one [`STALE_LINT`] finding per allowlist entry that
+/// suppressed nothing (sorted by file/line). Allowlists are loaded from
 /// `<root>/crates/check/allowlists/`.
 pub fn run(root: &Path) -> io::Result<Vec<Finding>> {
     run_inner(root, true)
@@ -483,28 +518,18 @@ pub fn run_unsuppressed(root: &Path) -> io::Result<Vec<Finding>> {
 
 fn run_inner(root: &Path, suppress: bool) -> io::Result<Vec<Finding>> {
     let files = workspace_sources(root)?;
-    let empty = || Allowlist {
-        entries: Vec::new(),
+    let load = |lint: &str| {
+        if suppress {
+            Allowlist::load(root, lint)
+        } else {
+            Ok(Allowlist::default())
+        }
     };
-    let allowlists: Vec<(usize, Allowlist)> = LINTS
+    let mut allowlists: Vec<Allowlist> = LINTS
         .iter()
-        .enumerate()
-        .map(|(i, l)| {
-            Ok((
-                i,
-                if suppress {
-                    Allowlist::load(root, l.name)?
-                } else {
-                    empty()
-                },
-            ))
-        })
+        .map(|l| load(l.name))
         .collect::<io::Result<Vec<_>>>()?;
-    let unsafe_allow = if suppress {
-        Allowlist::load(root, UNSAFE_LINT)?
-    } else {
-        empty()
-    };
+    let mut unsafe_allow = load(UNSAFE_LINT)?;
 
     let mut findings = Vec::new();
     for path in &files {
@@ -524,7 +549,7 @@ fn run_inner(root: &Path, suppress: bool) -> io::Result<Vec<Finding>> {
             }
             // Test/bench/example trees are exercise code, not library
             // surface: scope lint paths all start with "crates/".
-            let allow = &allowlists[li].1;
+            let allow = &mut allowlists[li];
             for (ln, code_line) in code.iter().enumerate() {
                 if lint.skip_test_blocks && in_test.get(ln).copied().unwrap_or(false) {
                     continue;
@@ -577,6 +602,9 @@ fn run_inner(root: &Path, suppress: bool) -> io::Result<Vec<Finding>> {
                 snippet: raw_line.trim().to_string(),
             });
         }
+    }
+    for allow in allowlists.iter().chain([&unsafe_allow]) {
+        findings.extend(allow.stale());
     }
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.lint).cmp(&(b.file.as_str(), b.line, b.lint)));
@@ -707,6 +735,35 @@ mod tests {
         assert!(!has_word("my_unsafe_fn()", "unsafe"));
     }
 
+    fn workspace_root() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
+    }
+
+    /// A sandbox workspace holding the real allowlists and an empty
+    /// `crates/core/src/exec`; returns (root, exec dir).
+    fn sandbox(tag: &str) -> (PathBuf, PathBuf) {
+        let tmp =
+            std::env::temp_dir().join(format!("df-check-{tag}-mutation-{}", std::process::id()));
+        let src_dir = tmp.join("crates/core/src/exec");
+        fs::create_dir_all(&src_dir).expect("mkdir sandbox src");
+        let allow_dst = tmp.join("crates/check/allowlists");
+        fs::create_dir_all(&allow_dst).expect("mkdir sandbox allowlists");
+        let allow_src = workspace_root().join("crates/check/allowlists");
+        for entry in fs::read_dir(allow_src).expect("read allowlists") {
+            let entry = entry.expect("allowlist entry");
+            fs::copy(entry.path(), allow_dst.join(entry.file_name())).expect("copy allowlist");
+        }
+        (tmp, src_dir)
+    }
+
+    /// Lint a sandbox. It holds one source file, so the entries for every
+    /// other file are stale by construction and are left out here.
+    fn run_sandbox(root: &Path) -> Vec<Finding> {
+        let mut findings = run(root).expect("lint sandbox");
+        findings.retain(|f| f.lint != STALE_LINT);
+        findings
+    }
+
     /// Mutation test for the ledger single-charge-site invariant: copy
     /// the real executor into a sandbox workspace (with the real
     /// allowlists), verify it lints clean, then splice in a second
@@ -715,23 +772,14 @@ mod tests {
     /// than waving through the whole file.
     #[test]
     fn second_ledger_charge_site_is_rejected() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let root = workspace_root();
         let real =
             fs::read_to_string(root.join("crates/core/src/exec/push.rs")).expect("read push.rs");
-        let tmp =
-            std::env::temp_dir().join(format!("df-check-charge-mutation-{}", std::process::id()));
-        let src_dir = tmp.join("crates/core/src/exec");
-        fs::create_dir_all(&src_dir).expect("mkdir sandbox src");
-        let allow_dst = tmp.join("crates/check/allowlists");
-        fs::create_dir_all(&allow_dst).expect("mkdir sandbox allowlists");
-        for entry in fs::read_dir(root.join("crates/check/allowlists")).expect("read allowlists") {
-            let entry = entry.expect("allowlist entry");
-            fs::copy(entry.path(), allow_dst.join(entry.file_name())).expect("copy allowlist");
-        }
+        let (tmp, src_dir) = sandbox("charge");
 
         // The unmutated executor lints clean in the sandbox.
         fs::write(src_dir.join("push.rs"), &real).expect("write clean copy");
-        let clean = run(&tmp).expect("lint clean copy");
+        let clean = run_sandbox(&tmp);
         assert!(clean.is_empty(), "clean copy has findings: {clean:?}");
 
         // Splice a second charge site next to the blessed one. The line
@@ -746,7 +794,7 @@ mod tests {
         );
         assert_ne!(mutated, real, "blessed charge site not found to mutate");
         fs::write(src_dir.join("push.rs"), mutated).expect("write mutated copy");
-        let findings = run(&tmp).expect("lint mutated copy");
+        let findings = run_sandbox(&tmp);
         assert!(
             findings.iter().any(|f| f.lint == "ledger-charge-site"
                 && f.file.ends_with("push.rs")
@@ -763,22 +811,13 @@ mod tests {
     /// not flagged (word-boundary match).
     #[test]
     fn spliced_hash_iteration_is_rejected_and_fxhash_is_not() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let root = workspace_root();
         let real = fs::read_to_string(root.join("crates/core/src/exec/volcano.rs"))
             .expect("read volcano.rs");
-        let tmp =
-            std::env::temp_dir().join(format!("df-check-hash-mutation-{}", std::process::id()));
-        let src_dir = tmp.join("crates/core/src/exec");
-        fs::create_dir_all(&src_dir).expect("mkdir sandbox src");
-        let allow_dst = tmp.join("crates/check/allowlists");
-        fs::create_dir_all(&allow_dst).expect("mkdir sandbox allowlists");
-        for entry in fs::read_dir(root.join("crates/check/allowlists")).expect("read allowlists") {
-            let entry = entry.expect("allowlist entry");
-            fs::copy(entry.path(), allow_dst.join(entry.file_name())).expect("copy allowlist");
-        }
+        let (tmp, src_dir) = sandbox("hash");
 
         fs::write(src_dir.join("volcano.rs"), &real).expect("write clean copy");
-        let clean = run(&tmp).expect("lint clean copy");
+        let clean = run_sandbox(&tmp);
         assert!(clean.is_empty(), "clean copy has findings: {clean:?}");
 
         // A fresh HashMap iteration with no allowlist justification.
@@ -787,7 +826,7 @@ mod tests {
                      m.iter().map(|(k, v)| (k + v) as usize).sum()\n}\n";
         fs::write(src_dir.join("volcano.rs"), format!("{real}{probe}"))
             .expect("write mutated copy");
-        let findings = run(&tmp).expect("lint mutated copy");
+        let findings = run_sandbox(&tmp);
         assert!(
             findings
                 .iter()
@@ -802,7 +841,7 @@ mod tests {
                         let m: FxHashMap<u32, u32> = FxHashMap::default();\n    \
                         m.len()\n}\n";
         fs::write(src_dir.join("volcano.rs"), format!("{real}{fx_probe}")).expect("write fx copy");
-        let findings = run(&tmp).expect("lint fx copy");
+        let findings = run_sandbox(&tmp);
         assert!(
             !findings
                 .iter()
@@ -816,25 +855,16 @@ mod tests {
     /// `thread::current().id()` call into decision-making code is caught.
     #[test]
     fn spliced_thread_id_is_rejected() {
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let root = workspace_root();
         let real = fs::read_to_string(root.join("crates/core/src/exec/volcano.rs"))
             .expect("read volcano.rs");
-        let tmp =
-            std::env::temp_dir().join(format!("df-check-tid-mutation-{}", std::process::id()));
-        let src_dir = tmp.join("crates/core/src/exec");
-        fs::create_dir_all(&src_dir).expect("mkdir sandbox src");
-        let allow_dst = tmp.join("crates/check/allowlists");
-        fs::create_dir_all(&allow_dst).expect("mkdir sandbox allowlists");
-        for entry in fs::read_dir(root.join("crates/check/allowlists")).expect("read allowlists") {
-            let entry = entry.expect("allowlist entry");
-            fs::copy(entry.path(), allow_dst.join(entry.file_name())).expect("copy allowlist");
-        }
+        let (tmp, src_dir) = sandbox("tid");
         let probe = "\nfn lint_tid_probe() -> u64 {\n    \
                      let id = std::thread::current().id();\n    \
                      format!(\"{id:?}\").len() as u64\n}\n";
         fs::write(src_dir.join("volcano.rs"), format!("{real}{probe}"))
             .expect("write mutated copy");
-        let findings = run(&tmp).expect("lint mutated copy");
+        let findings = run_sandbox(&tmp);
         assert!(
             findings
                 .iter()
@@ -846,11 +876,50 @@ mod tests {
         fs::remove_dir_all(&tmp).ok();
     }
 
+    /// An allowlist entry that suppresses nothing is a finding at its
+    /// line in the allowlist file, while entries that do suppress a
+    /// finding stay silent.
+    #[test]
+    fn stale_allowlist_entry_is_reported() {
+        let real = fs::read_to_string(workspace_root().join("crates/core/src/exec/volcano.rs"))
+            .expect("read volcano.rs");
+        let (tmp, src_dir) = sandbox("stale");
+        fs::write(src_dir.join("volcano.rs"), &real).expect("write copy");
+        let list = tmp.join("crates/check/allowlists/determinism-hash-iteration.txt");
+        let mut text = fs::read_to_string(&list).expect("read allowlist");
+        let stale = "crates/core/src/exec/volcano.rs :: HashMap<NoSuchKey, NoSuchValue>";
+        if !text.ends_with('\n') {
+            text.push('\n');
+        }
+        text.push_str(stale);
+        text.push('\n');
+        fs::write(&list, &text).expect("splice stale entry");
+
+        let findings = run(&tmp).expect("lint sandbox");
+        let file = "crates/check/allowlists/determinism-hash-iteration.txt";
+        let stale_line = text.lines().count();
+        assert!(
+            findings.iter().any(|f| f.lint == STALE_LINT
+                && f.file == file
+                && f.line == stale_line
+                && f.snippet == stale),
+            "stale entry not reported: {findings:?}"
+        );
+        // The entries pinning volcano.rs's real HashMap sites still match.
+        assert!(
+            !findings.iter().any(|f| f.lint == STALE_LINT
+                && f.snippet.starts_with("crates/core/src/exec/volcano.rs")
+                && f.snippet != stale),
+            "live volcano.rs entries reported stale: {findings:?}"
+        );
+        fs::remove_dir_all(&tmp).ok();
+    }
+
     #[test]
     fn workspace_is_clean() {
         // The committed tree must carry zero violations: this is the same
         // invariant the CI static-analysis job enforces.
-        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        let root = workspace_root();
         let findings = run(&root).expect("lint run");
         assert!(
             findings.is_empty(),

@@ -38,7 +38,9 @@ pub const MORSEL_ROWS: usize = 4096;
 /// already materialized when workers start, so pre-splitting it costs no
 /// extra memory beyond the vector of (zero-copy, buffer-sharing) batch
 /// views. Claiming a morsel is one uncontended `fetch_add` on the cursor —
-/// no mutex, no per-pop deque bookkeeping.
+/// no mutex, no per-pop deque bookkeeping. Morsels are handed out by
+/// index, so the claimed morsels always form a contiguous prefix of the
+/// source.
 struct MorselQueue {
     morsels: Vec<Batch>,
     cursor: AtomicUsize,
@@ -52,9 +54,10 @@ impl MorselQueue {
         }
     }
 
-    fn pop(&self) -> Option<Batch> {
+    /// Claim the next morsel together with its index in source order.
+    fn pop(&self) -> Option<(usize, Batch)> {
         let i = self.cursor.fetch_add(1, Ordering::Relaxed);
-        self.morsels.get(i).cloned()
+        self.morsels.get(i).map(|b| (i, b.clone()))
     }
 }
 
@@ -226,7 +229,9 @@ pub fn execute_parallel(plan: &PhysicalPlan, env: &ExecEnv, threads: usize) -> R
     );
     // With no aggregate between the pipeline and a `Limit`, workers can stop
     // claiming morsels once enough output rows exist globally; the final
-    // `LimitOp` pass still trims to exactly `n`.
+    // `LimitOp` pass still trims to exactly `n`. Every claimed morsel is
+    // processed to the end, so the claimed prefix holds at least `n` rows
+    // and the first `n` in morsel order are all among them.
     let early_stop_at: Option<u64> = if shape.agg.is_none() {
         shape.limit
     } else {
@@ -250,7 +255,9 @@ pub fn execute_parallel(plan: &PhysicalPlan, env: &ExecEnv, threads: usize) -> R
             })
         })
         .collect();
-    let worker_results: Vec<Result<Vec<Batch>>> = std::thread::scope(|scope| {
+    // Each worker tags its outputs with the morsel they came from; outputs
+    // of `finish` come after every morsel.
+    let worker_results: Vec<Result<Vec<(usize, Batch)>>> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(threads);
         for trace in worker_trace {
             let queue = &queue;
@@ -259,7 +266,7 @@ pub fn execute_parallel(plan: &PhysicalPlan, env: &ExecEnv, threads: usize) -> R
             let agg = shape.agg.clone();
             let chain_out_schema = chain_out_schema.clone();
             let gate = env.gate.clone();
-            handles.push(scope.spawn(move || -> Result<Vec<Batch>> {
+            handles.push(scope.spawn(move || -> Result<Vec<(usize, Batch)>> {
                 let mut ops = build_stage_ops(stages)?;
                 let mut partial = match &agg {
                     Some((group_by, aggs, final_schema)) => Some(HashAggOp::new(
@@ -283,7 +290,9 @@ pub fn execute_parallel(plan: &PhysicalPlan, env: &ExecEnv, threads: usize) -> R
                             break;
                         }
                     }
-                    let Some(batch) = queue.pop() else { break };
+                    let Some((morsel, batch)) = queue.pop() else {
+                        break;
+                    };
                     // Cooperative cross-query yield point: one credit per
                     // morsel, so a preempted query parks between morsels.
                     if let Some(gate) = &gate {
@@ -307,21 +316,24 @@ pub fn execute_parallel(plan: &PhysicalPlan, env: &ExecEnv, threads: usize) -> R
                             rows_emitted.fetch_add(out.rows() as u64, Ordering::Relaxed);
                         }
                         match partial.as_mut() {
-                            Some(agg) => collected.extend(agg.push(out)?),
-                            None => collected.push(out),
+                            Some(agg) => {
+                                collected.extend(agg.push(out)?.into_iter().map(|b| (morsel, b)))
+                            }
+                            None => collected.push((morsel, out)),
                         }
                     }
                 }
                 for op in ops.iter_mut() {
                     for out in op.finish()? {
                         match partial.as_mut() {
-                            Some(agg) => collected.extend(agg.push(out)?),
-                            None => collected.push(out),
+                            Some(agg) => collected
+                                .extend(agg.push(out)?.into_iter().map(|b| (usize::MAX, b))),
+                            None => collected.push((usize::MAX, out)),
                         }
                     }
                 }
                 if let Some(agg) = partial.as_mut() {
-                    collected.extend(agg.finish()?);
+                    collected.extend(agg.finish()?.into_iter().map(|b| (usize::MAX, b)));
                 }
                 // Close the worker span with its share of the scan, so the
                 // wall trace shows how morsels spread across workers.
@@ -338,10 +350,16 @@ pub fn execute_parallel(plan: &PhysicalPlan, env: &ExecEnv, threads: usize) -> R
             .collect()
     });
 
-    let mut partials = Vec::new();
+    // Order outputs by morsel, not by worker: the result (and which rows a
+    // `Limit` keeps) is then the sequential production order, whatever the
+    // thread schedule. The sort is stable, so one morsel's outputs keep
+    // their order.
+    let mut tagged = Vec::new();
     for r in worker_results {
-        partials.extend(r?);
+        tagged.extend(r?);
     }
+    tagged.sort_by_key(|(morsel, _)| *morsel);
+    let partials: Vec<Batch> = tagged.into_iter().map(|(_, b)| b).collect();
 
     let mut batches = match &shape.agg {
         None => partials,

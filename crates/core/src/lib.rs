@@ -34,8 +34,6 @@
 //!   windows, and frontier-gated windowed aggregation (§7.4–7.5); the
 //!   pipeline graph carries punctuation on its edges and the verifier
 //!   enforces the streaming legality rules
-//! - [`scheduler`] — interference-aware admission: plan-variant selection
-//!   and DMA rate limiting (§7.3)
 //! - [`sql`] — a SQL frontend for the examples
 //! - [`session`] — the top-level API tying tables, topology, optimizer and
 //!   executor together
@@ -50,7 +48,6 @@ pub mod optimizer;
 pub mod physical;
 pub mod pipeline;
 pub mod scaleout;
-pub mod scheduler;
 pub mod session;
 pub mod sql;
 pub mod streaming;

@@ -1,5 +1,5 @@
-//! The session: the user-facing API tying tables, topology, optimizer,
-//! scheduler, and executors together.
+//! The session: the user-facing API tying tables, topology, optimizer and
+//! executors together.
 //!
 //! ```
 //! use df_core::session::Session;

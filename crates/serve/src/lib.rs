@@ -13,8 +13,7 @@
 //!   priority;
 //! - [`sched`] — the cross-query scheduler: per-tenant **weighted fair
 //!   share** over credit grants (stride scheduling), priority preemption at
-//!   batch boundaries, and a conservation-checked
-//!   [`df_core::scheduler::CreditLedger`];
+//!   batch boundaries, and a conservation-checked [`sched::CreditLedger`];
 //! - [`admission`] — admission control that rejects or queues queries whose
 //!   placed graphs exceed the flow-model link capacity;
 //! - [`dispatch`] — the query execution pipeline (plan → compile → verify +

@@ -14,9 +14,10 @@
 //! - [`sim`] — discrete-event simulation kernel
 //! - [`fabric`] — hardware topology, links, flow control, coherence
 //! - [`storage`] — columnar segments, zone maps, smart-storage pushdown
-//! - [`net`] — smart NICs, collectives, transport
+//! - [`net`] — smart NICs with installable kernel pipelines
 //! - [`mem`] — buffer pool, cache model, near-memory accelerator
-//! - [`core`] — expressions, plans, optimizer, dataflow executor, scheduler
+//! - [`core`] — expressions, plans, optimizer, pipeline graph, dataflow
+//!   executor, scale-out, streaming
 //! - [`mod@bench`] — workload generators and the experiment harness
 //! - [`analysis`] — static analysis: graph verification, deadlock checks,
 //!   workspace lints (`cargo run -p df-check`)
